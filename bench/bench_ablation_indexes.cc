@@ -1,9 +1,8 @@
 // Ablation (DESIGN.md): the kNN-engine choice of section 7.4. Same LOF
-// pipeline, same data, five engines — identical rankings by construction,
-// very different materialization cost profiles across dimensionality. This
-// reproduces the paper's engine guidance as a measurement: grid wins at
-// d=2, the tree family in the middle dimensions, and everything collapses
-// toward the scan in high d.
+// pipeline, same data, every engine — identical rankings by construction,
+// very different single-threaded materialization cost profiles across
+// dimensionality. The matrix the default engine is chosen from (build and
+// step-1 walls per n, d and metric) is bench_engines.
 
 #include <cstdio>
 

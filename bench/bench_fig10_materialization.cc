@@ -88,7 +88,8 @@ int main() {
       Rng rng(1000 + d);
       auto data = CheckOk(generators::MakePerformanceWorkload(rng, d, n, 10),
                           "workload");
-      RStarTreeIndex tree;
+      // The paper's dynamic X-tree: insertion build, supernodes and all.
+      RStarTreeIndex tree(RStarTreeIndex::BuildMode::kInsert);
       QueryStats stats;
       const double seconds = MaterializeSeconds(data, tree, k, &stats);
       report.Add(Case(n, d), CounterMetrics(seconds, stats));
@@ -124,7 +125,7 @@ int main() {
   Rng rng(1005);
   auto data = CheckOk(generators::MakePerformanceWorkload(rng, 5, thread_n, 10),
                       "workload");
-  RStarTreeIndex tree;
+  RStarTreeIndex tree(RStarTreeIndex::BuildMode::kInsert);
   CheckOk(tree.Build(data, Euclidean()), "Build");
   std::printf("%-8s %-10s %s\n", "threads", "time (s)", "speedup");
   double serial_seconds = 0.0;

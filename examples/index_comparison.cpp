@@ -1,8 +1,8 @@
 // Choosing a kNN engine — section 7.4's guidance as runnable code.
 //
 // The LOF result is engine-independent (every engine in lofkit is exact);
-// only the materialization cost differs. This example measures all five
-// engines on the same workload at two dimensionalities and prints what
+// only the materialization cost differs. This example measures every
+// engine on the same workload at two dimensionalities and prints what
 // RecommendIndexKind would have picked. The whole pipeline runs on every
 // hardware thread (threads = 0) — the scores are bit-identical to a
 // single-threaded run, so parallelism is purely a speed knob.
@@ -42,12 +42,13 @@ int main() {
     std::printf("\n");
   }
 
-  std::printf("\nRecommendIndexKind picks: d=2 -> %s, d=8 -> %s, d=16 -> "
-              "%s, d=64 -> %s\n",
+  std::printf("\nRecommendIndexKind picks: d=2 -> %s, d=16 -> %s, d=64 -> "
+              "%s; angular metric -> %s\n",
               std::string(IndexKindName(RecommendIndexKind(2))).c_str(),
-              std::string(IndexKindName(RecommendIndexKind(8))).c_str(),
               std::string(IndexKindName(RecommendIndexKind(16))).c_str(),
-              std::string(IndexKindName(RecommendIndexKind(64))).c_str());
+              std::string(IndexKindName(RecommendIndexKind(64))).c_str(),
+              std::string(IndexKindName(RecommendIndexKind(64, Angular())))
+                  .c_str());
   std::printf("\nAll engines return identical LOF values — pick by cost, "
               "not by result.\n");
   return 0;

@@ -13,9 +13,11 @@
 
 namespace lofkit {
 
-/// Resolves a user-facing thread-count knob: 0 means "one worker per
-/// hardware thread" (never less than 1); any other value passes through
-/// unchanged. Every `threads` parameter in lofkit follows this convention.
+/// Resolves a user-facing thread-count knob: 0 means "one worker per CPU
+/// the calling thread may run on" (the sched_getaffinity mask on Linux,
+/// else std::thread::hardware_concurrency; never less than 1); any other
+/// value passes through unchanged. Every `threads` parameter in lofkit
+/// follows this convention.
 size_t ResolveThreadCount(size_t threads);
 
 /// How often a worker pays a monotonic-clock read for deadline expiry: the

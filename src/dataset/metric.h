@@ -243,7 +243,8 @@ class WeightedEuclideanMetric final : public Metric {
 ///
 /// Axis-aligned boxes bound angles poorly, so the box bounds are the
 /// trivially valid [0, pi]: tree/grid engines remain exact but degrade to
-/// scans under this metric — use LinearScanIndex or VaFileIndex.
+/// scans under this metric — use MTreeIndex, which prunes by the triangle
+/// inequality alone (RecommendIndexKind picks it).
 class AngularMetric final : public Metric {
  public:
   double Distance(std::span<const double> a,

@@ -84,11 +84,20 @@ std::string_view IndexKindName(IndexKind kind) {
   return "unknown";
 }
 
-IndexKind RecommendIndexKind(size_t dimension) {
-  if (dimension <= 2) return IndexKind::kGrid;
-  if (dimension <= 12) return IndexKind::kRStarTree;
-  if (dimension <= 24) return IndexKind::kKdTree;
-  return IndexKind::kVaFile;
+IndexKind RecommendIndexKind(size_t dimension, const Metric& metric) {
+  (void)dimension;
+  // The one place that decides whether a metric's coordinate box bounds
+  // prune: the bundled L_p family and weighted L2 bound the distance to a
+  // box by the per-axis gaps, so a kd-tree cell prunes. Angular's box bound
+  // is the trivial 0, and an unknown subclass promises nothing beyond the
+  // metric axioms, which is exactly what the M-tree needs.
+  const bool box_bounds_prune =
+      dynamic_cast<const EuclideanMetric*>(&metric) != nullptr ||
+      dynamic_cast<const ManhattanMetric*>(&metric) != nullptr ||
+      dynamic_cast<const ChebyshevMetric*>(&metric) != nullptr ||
+      dynamic_cast<const MinkowskiMetric*>(&metric) != nullptr ||
+      dynamic_cast<const WeightedEuclideanMetric*>(&metric) != nullptr;
+  return box_bounds_prune ? IndexKind::kKdTree : IndexKind::kMTree;
 }
 
 }  // namespace lofkit

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "dataset/metric.h"
 #include "index/knn_index.h"
 
 namespace lofkit {
@@ -60,11 +61,26 @@ std::vector<IndexKind> AllIndexKinds();
 /// Canonical name of an index kind.
 std::string_view IndexKindName(IndexKind kind);
 
-/// Picks the engine the paper's guidance suggests for a given
-/// dimensionality: grid for d <= 2, tree for medium d, VA-file beyond.
-/// Only ever recommends exact engines — opting into approximation (the
-/// kd-forest) is a quality decision the caller must make explicitly.
-IndexKind RecommendIndexKind(size_t dimension);
+/// The default exact engine for an in-RAM step 1, chosen by the metric:
+///
+///   * kd_tree for the bundled metrics whose coordinate box bounds prune:
+///     euclidean, manhattan, chebyshev, minkowski and weighted_euclidean.
+///   * m_tree for angular and any other Metric subclass. Its pruning needs
+///     only the triangle inequality, while every box-pruning engine
+///     degrades to a scan when the box bound is the trivial 0.
+///
+/// The rule is measured, not derived: bench_engines times every exact
+/// engine's build + step 1 over n in {2k, 20k}, d in {2, 5, 10, 20, 64}
+/// and {euclidean, manhattan, angular}, and the recommended engine is
+/// within 1.03x of the fastest on every cell
+/// (bench/baselines/BENCH_engines.json; a test fails past 1.2x). Hence
+/// `dimension` does not enter the rule. The paper's section-7.4 table
+/// (grid in low d, X-tree in medium d, VA-file in high d) priced disk
+/// reads an in-RAM index never pays, so grid, rstar_tree and va_file are
+/// never returned; they stay selectable by name. Never returns the
+/// approximate kd-forest: approximation is the caller's explicit choice.
+IndexKind RecommendIndexKind(size_t dimension,
+                             const Metric& metric = Euclidean());
 
 }  // namespace lofkit
 

@@ -11,14 +11,16 @@ namespace lofkit {
 /// "variant of the X-tree" the paper used for its kNN queries (section 7.4,
 /// reference [4]).
 ///
-/// Insertion follows the R*-tree: ChooseSubtree minimizes overlap
-/// enlargement at the leaf level and area enlargement above it, one forced
-/// reinsertion round per level per insert, and topological (margin-driven)
-/// splits. The X-tree modification applies to directory nodes: when the
-/// best available split would produce heavily overlapping directory
-/// rectangles (overlap fraction above `kMaxOverlap`), the node is not split
-/// but grows into a *supernode* of extended capacity, avoiding the
-/// degenerate overlap that makes high-dimensional R-trees useless.
+/// Build() packs the tree with Sort-Tile-Recursive bulk loading unless the
+/// index is constructed with BuildMode::kInsert. Insertion follows the
+/// R*-tree: ChooseSubtree minimizes overlap enlargement at the leaf level
+/// and area enlargement above it, one forced reinsertion round per level
+/// per insert, and topological (margin-driven) splits. The X-tree
+/// modification applies to directory nodes: when the best available split
+/// would produce heavily overlapping directory rectangles (overlap fraction
+/// above `kMaxOverlap`), the node is not split but grows into a *supernode*
+/// of extended capacity, avoiding the degenerate overlap that makes
+/// high-dimensional R-trees useless.
 ///
 /// kNN queries run best-first (Hjaltason-Samet) over MinRankToBox (the
 /// squared-distance bound for the L2 family) with leaf scans through the
@@ -28,15 +30,16 @@ class RStarTreeIndex final : public KnnIndex {
  public:
   /// How Build() constructs the tree.
   enum class BuildMode {
-    /// One-by-one R* insertion with forced reinsertion (default; the
-    /// X-tree supernode rule applies on directory splits).
+    /// One-by-one R* insertion with forced reinsertion (the X-tree
+    /// supernode rule applies on directory splits): the paper's dynamic
+    /// X-tree, kept for reproducing Figure 10.
     kInsert,
-    /// Sort-Tile-Recursive bulk loading: O(n log n) construction with
-    /// near-perfect space utilization; no supernodes arise.
+    /// Sort-Tile-Recursive bulk loading (default): O(n log n) construction
+    /// with near-perfect space utilization; no supernodes arise.
     kBulkLoadStr,
   };
 
-  explicit RStarTreeIndex(BuildMode mode = BuildMode::kInsert)
+  explicit RStarTreeIndex(BuildMode mode = BuildMode::kBulkLoadStr)
       : mode_(mode) {}
 
   Status Build(const Dataset& data, const Metric& metric) override;
@@ -115,7 +118,7 @@ class RStarTreeIndex final : public KnnIndex {
   /// Builds the whole tree bottom-up with Sort-Tile-Recursive packing.
   void BulkLoadStr();
 
-  BuildMode mode_ = BuildMode::kInsert;
+  BuildMode mode_ = BuildMode::kBulkLoadStr;
   const Dataset* data_ = nullptr;
   const Metric* metric_ = nullptr;
   DistanceKernels kern_;

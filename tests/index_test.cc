@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <optional>
 #include <span>
 
 #include <gtest/gtest.h>
 
+#include "common/minijson.h"
 #include "common/random.h"
 #include "dataset/generators.h"
 #include "index/grid_index.h"
@@ -84,11 +87,98 @@ TEST(IndexFactoryTest, AnnOptionsReachTheForest) {
   EXPECT_DOUBLE_EQ(forest->options().search.eps, 0.5);
 }
 
+// A metric the factory has never heard of: plain L1 through the virtual
+// interface only.
+class CustomL1Metric final : public Metric {
+ public:
+  double Distance(std::span<const double> a,
+                  std::span<const double> b) const override {
+    return Manhattan().Distance(a, b);
+  }
+  double MinDistanceToBox(std::span<const double> q,
+                          std::span<const double> lo,
+                          std::span<const double> hi) const override {
+    return Manhattan().MinDistanceToBox(q, lo, hi);
+  }
+  double MaxDistanceToBox(std::span<const double> q,
+                          std::span<const double> lo,
+                          std::span<const double> hi) const override {
+    return Manhattan().MaxDistanceToBox(q, lo, hi);
+  }
+  std::string_view name() const override { return "custom_l1"; }
+};
+
 TEST(IndexFactoryTest, RecommendationCoversAllRegimes) {
-  EXPECT_EQ(RecommendIndexKind(2), IndexKind::kGrid);
-  EXPECT_EQ(RecommendIndexKind(5), IndexKind::kRStarTree);
-  EXPECT_EQ(RecommendIndexKind(20), IndexKind::kKdTree);
-  EXPECT_EQ(RecommendIndexKind(64), IndexKind::kVaFile);
+  const auto minkowski = MinkowskiMetric::Create(3.0);
+  const auto weighted = WeightedEuclideanMetric::Create({0.5, 2.0});
+  ASSERT_TRUE(minkowski.ok() && weighted.ok());
+  const CustomL1Metric custom;
+  for (size_t dim : {1, 2, 5, 10, 20, 64, 256}) {
+    SCOPED_TRACE(dim);
+    // The one-argument form means Euclidean.
+    EXPECT_EQ(RecommendIndexKind(dim), IndexKind::kKdTree);
+    EXPECT_EQ(RecommendIndexKind(dim, Euclidean()), IndexKind::kKdTree);
+    EXPECT_EQ(RecommendIndexKind(dim, Manhattan()), IndexKind::kKdTree);
+    EXPECT_EQ(RecommendIndexKind(dim, Chebyshev()), IndexKind::kKdTree);
+    EXPECT_EQ(RecommendIndexKind(dim, *minkowski), IndexKind::kKdTree);
+    EXPECT_EQ(RecommendIndexKind(dim, *weighted), IndexKind::kKdTree);
+    // No coordinate box bounds: only the triangle inequality prunes.
+    EXPECT_EQ(RecommendIndexKind(dim, Angular()), IndexKind::kMTree);
+    EXPECT_EQ(RecommendIndexKind(dim, custom), IndexKind::kMTree);
+  }
+}
+
+// The rule must stay justified by the committed bench_engines matrix: on
+// every (n, d, metric) cell the recommended engine's build + step-1 wall is
+// within 1.2x of the fastest exact engine's, and the sidecar's
+// `recommended` column names exactly the engine the rule picks today.
+TEST(IndexFactoryTest, RecommendationMatchesTheCommittedEngineMatrix) {
+  auto doc = ParseJsonFile(std::string(LOFKIT_SOURCE_DIR) +
+                           "/bench/baselines/BENCH_engines.json");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const JsonValue* rows = doc->Find("rows");
+  ASSERT_TRUE(rows != nullptr && rows->is_array());
+
+  struct Entry {
+    std::string engine;
+    double total_seconds;
+    bool recommended;
+  };
+  std::map<std::string, std::vector<Entry>> cells;  // "n=../d=../metric"
+  std::map<std::string, size_t> dims;
+  for (const JsonValue& row : rows->array) {
+    const std::string name = row.Find("case")->str;
+    const JsonValue& m = *row.Find("metrics");
+    const size_t slash = name.rfind('/');
+    ASSERT_NE(slash, std::string::npos) << name;
+    const std::string cell = name.substr(0, slash);
+    cells[cell].push_back(
+        {name.substr(slash + 1),
+         m.Find("build_seconds")->num + m.Find("step1_seconds")->num,
+         m.Find("recommended")->num == 1.0});
+    dims[cell] = static_cast<size_t>(m.Find("d")->num);
+  }
+  // n in {2k, 20k} x d in {2, 5, 10, 20, 64} x three metrics.
+  EXPECT_EQ(cells.size(), 30u);
+
+  for (const auto& [cell, entries] : cells) {
+    SCOPED_TRACE(cell);
+    EXPECT_EQ(entries.size(), AllIndexKinds().size() - 1)
+        << "every exact engine (all but rkd_forest) has a row";
+    auto metric = MetricByName(cell.substr(cell.rfind('/') + 1));
+    ASSERT_TRUE(metric.ok()) << metric.status();
+    const std::string rule(
+        IndexKindName(RecommendIndexKind(dims[cell], **metric)));
+    double best = std::numeric_limits<double>::infinity();
+    double rule_total = std::numeric_limits<double>::infinity();
+    for (const Entry& e : entries) {
+      best = std::min(best, e.total_seconds);
+      if (e.engine == rule) rule_total = e.total_seconds;
+      EXPECT_EQ(e.recommended, e.engine == rule) << e.engine;
+    }
+    EXPECT_LE(rule_total, 1.2 * best)
+        << rule << " is more than 1.2x off the cell's fastest engine";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +566,7 @@ TEST(RStarTreeIndexTest, HighDimensionalDataGrowsSupernodes) {
   // kick in at least occasionally on clustered data.
   Rng rng(59);
   Dataset data = MakeRandomClustered(rng, 30, 3000);
-  RStarTreeIndex index;
+  RStarTreeIndex index(RStarTreeIndex::BuildMode::kInsert);
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());
   // The structure stays queryable either way; supernodes are expected but
   // we only assert the tree did not degenerate into an error.
@@ -500,7 +590,7 @@ TEST(RStarTreeIndexTest, RebuildReplacesContent) {
 TEST(RStarTreeIndexTest, InvariantsHoldAfterInsertionBuild) {
   Rng rng(160);
   Dataset data = MakeRandomClustered(rng, 3, 3000);
-  RStarTreeIndex index;
+  RStarTreeIndex index(RStarTreeIndex::BuildMode::kInsert);
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());
   EXPECT_TRUE(index.CheckInvariants().ok()) << index.CheckInvariants();
 }
@@ -534,12 +624,40 @@ TEST(RStarTreeIndexTest, BulkLoadMatchesLinearScan) {
   }
 }
 
+TEST(RStarTreeIndexTest, InsertionBuildMatchesLinearScan) {
+  // The conformance suite builds the default (STR) tree; this keeps the
+  // insertion build, forced reinsertion and supernodes checked for
+  // exactness, ties included, under an L2 and a non-L2 metric.
+  Rng rng(164);
+  Dataset data = MakeRandomClustered(rng, 6, 1500);
+  for (const Metric* metric : {static_cast<const Metric*>(&Euclidean()),
+                               static_cast<const Metric*>(&Manhattan())}) {
+    SCOPED_TRACE(metric->name());
+    LinearScanIndex reference;
+    ASSERT_TRUE(reference.Build(data, *metric).ok());
+    RStarTreeIndex inserted(RStarTreeIndex::BuildMode::kInsert);
+    ASSERT_TRUE(inserted.Build(data, *metric).ok());
+    ASSERT_TRUE(inserted.CheckInvariants().ok());
+    for (size_t q = 0; q < data.size(); q += 7) {
+      const auto self = static_cast<uint32_t>(q);
+      auto expected = reference.Query(data.point(q), 12, self);
+      auto actual = inserted.Query(data.point(q), 12, self);
+      ASSERT_TRUE(expected.ok() && actual.ok());
+      ASSERT_EQ(actual->size(), expected->size()) << "query " << q;
+      for (size_t i = 0; i < expected->size(); ++i) {
+        EXPECT_EQ((*actual)[i].index, (*expected)[i].index);
+        EXPECT_EQ((*actual)[i].distance, (*expected)[i].distance);
+      }
+    }
+  }
+}
+
 TEST(RStarTreeIndexTest, BulkLoadUsesFewerNodes) {
   // STR packs nodes nearly full, so it needs no more (usually far fewer)
   // nodes than one-by-one insertion.
   Rng rng(163);
   Dataset data = MakeRandomClustered(rng, 2, 4000);
-  RStarTreeIndex inserted;
+  RStarTreeIndex inserted(RStarTreeIndex::BuildMode::kInsert);
   RStarTreeIndex bulk(RStarTreeIndex::BuildMode::kBulkLoadStr);
   ASSERT_TRUE(inserted.Build(data, Euclidean()).ok());
   ASSERT_TRUE(bulk.Build(data, Euclidean()).ok());

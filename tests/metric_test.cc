@@ -1,6 +1,7 @@
 #include "dataset/metric.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -134,10 +135,20 @@ TEST(MetricTest, LinearScanLofWorksUnderAngularMetric) {
 // Property sweep: metric axioms and box-bound correctness, for each metric.
 // ---------------------------------------------------------------------------
 
-class MetricPropertyTest : public ::testing::TestWithParam<const Metric*> {};
+// A metric with the name its ctest entries carry. gtest prints the
+// parameter into each test's listed name; printing the name rather than the
+// pointer keeps those names the same on every build.
+struct MetricCase {
+  const char* name;
+  const Metric* metric;
+
+  friend void PrintTo(const MetricCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class MetricPropertyTest : public ::testing::TestWithParam<MetricCase> {};
 
 TEST_P(MetricPropertyTest, AxiomsHoldOnRandomPoints) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(42);
   const size_t dim = 3;  // the weighted metric instance is 3-dimensional
   std::vector<double> a(dim), b(dim), c(dim);
@@ -159,7 +170,7 @@ TEST_P(MetricPropertyTest, AxiomsHoldOnRandomPoints) {
 }
 
 TEST_P(MetricPropertyTest, BoxBoundsEncloseSampledDistances) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(77);
   const size_t dim = 3;
   std::vector<double> q(dim), lo(dim), hi(dim), p(dim);
@@ -184,7 +195,7 @@ TEST_P(MetricPropertyTest, BoxBoundsEncloseSampledDistances) {
 }
 
 TEST_P(MetricPropertyTest, CoordinateDistanceIsLowerBound) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(99);
   const size_t dim = 3;
   std::vector<double> a(dim), b(dim);
@@ -211,14 +222,14 @@ const Metric* MakeMinkowski3() {
   return metric;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricPropertyTest,
-                         ::testing::Values(&Euclidean(), &Manhattan(),
-                                           &Chebyshev(), MakeWeighted(),
-                                           MakeMinkowski3()),
-                         [](const auto& info) {
-                           return std::string(info.param->name()) +
-                                  (info.param == MakeMinkowski3() ? "3" : "");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllMetrics, MetricPropertyTest,
+    ::testing::Values(MetricCase{"euclidean", &Euclidean()},
+                      MetricCase{"manhattan", &Manhattan()},
+                      MetricCase{"chebyshev", &Chebyshev()},
+                      MetricCase{"weighted_euclidean", MakeWeighted()},
+                      MetricCase{"minkowski3", MakeMinkowski3()}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace lofkit

@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -20,6 +22,30 @@ TEST(ResolveThreadCountTest, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(ResolveThreadCount(0), 1u);
   EXPECT_EQ(ResolveThreadCount(1), 1u);
   EXPECT_EQ(ResolveThreadCount(5), 5u);
+}
+
+TEST(ResolveThreadCountTest, ZeroMeansTheAffinityMaskCount) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(ResolveThreadCount(0), static_cast<size_t>(CPU_COUNT(&allowed)));
+
+  // Pin a helper thread to one allowed CPU, as taskset or a cpuset cgroup
+  // would: the default thread count must follow the mask, not the machine.
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &allowed)) ++first_cpu;
+  bool pinned = false;
+  size_t pinned_count = 0;
+  std::thread helper([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+    if (pinned) pinned_count = ResolveThreadCount(0);
+  });
+  helper.join();
+  if (!pinned) GTEST_SKIP() << "sched_setaffinity is not permitted here";
+  EXPECT_EQ(pinned_count, 1u);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

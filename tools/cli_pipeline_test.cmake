@@ -114,5 +114,40 @@ if(NOT spill_base_output STREQUAL spill_output)
           "${spill_base_output}\nspilled:\n${spill_output}")
 endif()
 
+# Engine-choice smoke: --index auto says on stderr which engine it chose
+# and why. The choice follows the metric, not the dimension: kd_tree for
+# euclidean even at d=64, m_tree for angular.
+execute_process(
+  COMMAND ${DATAGEN} --scenario gaussians --points 600 --dim 64
+          --output ${WORKDIR}/auto_d64.csv
+  RESULT_VARIABLE auto_datagen_result)
+if(NOT auto_datagen_result EQUAL 0)
+  message(FATAL_ERROR "datagen failed: ${auto_datagen_result}")
+endif()
+foreach(auto_metric euclidean angular)
+  if(auto_metric STREQUAL "euclidean")
+    set(auto_line
+        "--index auto chose kd_tree: euclidean has coordinate box bounds")
+  else()
+    set(auto_line
+        "--index auto chose m_tree: angular has no coordinate box bounds")
+  endif()
+  execute_process(
+    COMMAND ${CLI} --input ${WORKDIR}/auto_d64.csv --has-header
+            --minpts-lb 5 --minpts-ub 10 --top 3 --metric ${auto_metric}
+    OUTPUT_QUIET
+    ERROR_VARIABLE auto_stderr
+    RESULT_VARIABLE auto_result)
+  if(NOT auto_result EQUAL 0)
+    message(FATAL_ERROR "cli --metric ${auto_metric} failed: ${auto_result}\n"
+            "${auto_stderr}")
+  endif()
+  string(FIND "${auto_stderr}" "${auto_line}" found_auto)
+  if(found_auto EQUAL -1)
+    message(FATAL_ERROR "expected '${auto_line}' on stderr:\n${auto_stderr}")
+  endif()
+endforeach()
+
 file(REMOVE ${WORKDIR}/ds1_smoke.csv ${WORKDIR}/ds1_smoke.lofc
-     ${WORKDIR}/ds1_torn.lofc ${WORKDIR}/spill_smoke.csv)
+     ${WORKDIR}/ds1_torn.lofc ${WORKDIR}/spill_smoke.csv
+     ${WORKDIR}/auto_d64.csv)

@@ -84,7 +84,9 @@ int main(int argc, char** argv) {
   flags.AddString("index", "auto",
                   "knn engine: auto, linear_scan, grid, kd_tree, "
                   "rstar_tree, va_file, m_tree or rkd_forest "
-                  "(approximate; see the --ann-* flags)");
+                  "(approximate; see the --ann-* flags). auto picks "
+                  "kd_tree when --metric has coordinate box bounds "
+                  "(every metric but angular) and m_tree otherwise");
   flags.AddU64("ann-trees", 8,
                "rkd_forest: number of randomized trees in the forest");
   flags.AddU64("ann-checks", 256,
@@ -354,7 +356,11 @@ int main(int argc, char** argv) {
   } else {
     progress.SetPhase("index_build");
     if (flags.GetString("index") == "auto") {
-      index = CreateIndex(RecommendIndexKind(working->dimension()));
+      const IndexKind kind = RecommendIndexKind(working->dimension(), metric);
+      index = CreateIndex(kind);
+      std::fprintf(stderr, "--index auto chose %s: %s has %scoordinate box "
+                   "bounds\n", index->name().data(), metric.name().data(),
+                   kind == IndexKind::kKdTree ? "" : "no ");
     } else {
       auto by_name = CreateIndexByName(flags.GetString("index"), ann);
       if (!by_name.ok()) return Fail(by_name.status());
