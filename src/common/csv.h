@@ -2,6 +2,7 @@
 #define LOFKIT_COMMON_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -33,12 +34,39 @@ struct CsvReadOptions {
   size_t max_line_bytes = 1 << 20;
 };
 
-/// Parses CSV text already in memory. Returns InvalidArgument on ragged rows
-/// or non-numeric fields (with the offending 1-based line number).
+/// A parsed numeric CSV file in flat form, as the scanner produces it:
+/// optional header names plus rows() * columns doubles, row-major.
+struct CsvMatrix {
+  std::vector<std::string> header;  ///< Empty when the file had none.
+  std::vector<double> values;       ///< Row-major, rows() * columns values.
+  /// Fields per row: the header's width, else the first data row's; 0 when
+  /// the file had neither.
+  size_t columns = 0;
+
+  size_t rows() const { return columns == 0 ? 0 : values.size() / columns; }
+};
+
+/// Scans CSV text in one pass into a CsvMatrix. This is lofkit's one CSV
+/// grammar (docs/robustness.md, "Accepted CSV grammar"): ParseCsv,
+/// ReadCsvFile and DatasetFromCsvFile all go through it. Returns
+/// InvalidArgument on overlong lines, embedded NULs, ragged rows or
+/// non-numeric fields, with the offending 1-based physical line number.
+/// Each field is parsed with std::from_chars; a field that it does not take
+/// whole as zero or a finite value above DBL_MIN in magnitude goes through ParseDouble (strtod),
+/// so the accepted values and the error text are strtod's.
+Result<CsvMatrix> ScanCsv(std::string_view text,
+                          const CsvReadOptions& options = {});
+
+/// Reads a whole file into one buffer with read(2) and scans it. Returns IoError when the file cannot be opened or read. The
+/// "csv.read" fail point fires once.
+Result<CsvMatrix> ScanCsvFile(const std::string& path,
+                              const CsvReadOptions& options = {});
+
+/// ScanCsv, reshaped into one vector per row.
 Result<CsvTable> ParseCsv(const std::string& text,
                           const CsvReadOptions& options = {});
 
-/// Reads and parses a CSV file. Returns IoError when the file is unreadable.
+/// ScanCsvFile, reshaped into one vector per row.
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvReadOptions& options = {});
 

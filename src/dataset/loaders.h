@@ -21,11 +21,14 @@ struct DatasetLoadOptions {
   CsvReadOptions csv;
 };
 
-/// Builds a Dataset from an in-memory CSV table.
+/// Builds a Dataset from an in-memory CSV table. InvalidArgument when a row
+/// is not num_columns() wide.
 Result<Dataset> DatasetFromCsvTable(const CsvTable& table,
                                     const DatasetLoadOptions& options = {});
 
-/// Reads a CSV file into a Dataset (ReadCsvFile + DatasetFromCsvTable).
+/// Reads a CSV file into a Dataset: ScanCsvFile's flat buffer becomes the
+/// Dataset's storage, with no per-row table in between. Accepts and rejects
+/// exactly what ReadCsvFile + DatasetFromCsvTable do, with the same Status.
 Result<Dataset> DatasetFromCsvFile(const std::string& path,
                                    const DatasetLoadOptions& options = {});
 

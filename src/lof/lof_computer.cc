@@ -279,17 +279,21 @@ std::vector<RankedOutlier> RankDescending(std::span<const double> scores,
   // NaN-aware comparator: `a.score != b.score` alone is not a strict weak
   // ordering when NaNs are present (NaN != x but neither sorts before the
   // other), which is undefined behavior in std::sort. NaNs go last, then
-  // by index, making the order total and deterministic.
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedOutlier& a, const RankedOutlier& b) {
-              const bool a_nan = std::isnan(a.score);
-              const bool b_nan = std::isnan(b.score);
-              if (a_nan != b_nan) return b_nan;
-              if (!a_nan && a.score != b.score) return a.score > b.score;
-              return a.index < b.index;
-            });
+  // by index, making the order total and deterministic — so a partial sort
+  // of the first top_n yields exactly the full sort's first top_n.
+  const auto before = [](const RankedOutlier& a, const RankedOutlier& b) {
+    const bool a_nan = std::isnan(a.score);
+    const bool b_nan = std::isnan(b.score);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && a.score != b.score) return a.score > b.score;
+    return a.index < b.index;
+  };
   if (top_n > 0 && top_n < ranked.size()) {
+    std::partial_sort(ranked.begin(), ranked.begin() + top_n, ranked.end(),
+                      before);
     ranked.resize(top_n);
+  } else {
+    std::sort(ranked.begin(), ranked.end(), before);
   }
   return ranked;
 }

@@ -1,7 +1,10 @@
 #include "lof/lof_computer.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -269,6 +272,46 @@ TEST(LofComputerTest, RankDescendingOrdersNaNScoresLastDeterministically) {
     }
   }
   EXPECT_TRUE(seen_nan);
+}
+
+// RankDescending partial-sorts when 0 < top_n < n. Its comparator is a
+// total order, so the result must equal the full sort's prefix exactly:
+// checked against a plain std::sort with NaNs, +/-inf and heavy ties.
+TEST(LofComputerTest, RankDescendingTopNMatchesFullSortPrefix) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(61);
+  std::vector<double> scores(257);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    switch (i % 7) {
+      case 0: scores[i] = nan; break;
+      case 1: scores[i] = 1.0; break;  // One big tie.
+      case 2: scores[i] = i % 2 == 0 ? inf : -inf; break;
+      default: scores[i] = std::round(rng.Uniform(0.0, 8.0)) / 4.0;
+    }
+  }
+  std::vector<size_t> order(scores.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const bool a_nan = std::isnan(scores[a]);
+    const bool b_nan = std::isnan(scores[b]);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  });
+  const size_t n = scores.size();
+  for (const size_t top_n : {size_t{0}, size_t{1}, size_t{10}, n - 1, n,
+                             n + 1}) {
+    SCOPED_TRACE(top_n);
+    const auto ranked = RankDescending(scores, top_n);
+    const size_t expected = top_n == 0 ? n : std::min(top_n, n);
+    ASSERT_EQ(ranked.size(), expected);
+    for (size_t r = 0; r < expected; ++r) {
+      ASSERT_EQ(ranked[r].index, order[r]) << "rank " << r;
+      ASSERT_EQ(std::bit_cast<uint64_t>(ranked[r].score),
+                std::bit_cast<uint64_t>(scores[order[r]]));
+    }
+  }
 }
 
 TEST(LofComputerTest, ComputeFromScratchForwardsOptions) {
