@@ -50,8 +50,8 @@ constexpr double kSkipRepeatsAbove = 5.0;
 
 // The exact engines, the linear scan first: its M is the reference.
 const std::vector<IndexKind> kEngines = {
-    IndexKind::kLinearScan, IndexKind::kKdTree,     IndexKind::kMTree,
-    IndexKind::kGrid,       IndexKind::kRStarTree,  IndexKind::kVaFile};
+    IndexKind::kLinearScan, IndexKind::kKdTree, IndexKind::kMTree,
+    IndexKind::kRStarTree};
 
 // True when both M's hold the same neighbor ids and distance bits.
 bool SameBits(const NeighborhoodMaterializer& a,

@@ -14,7 +14,7 @@
 #include "common/random.h"
 #include "dataset/metric.h"
 #include "dataset/scenarios.h"
-#include "index/grid_index.h"
+#include "index/index_factory.h"
 #include "lof/lof_computer.h"
 
 using namespace lofkit;          // NOLINT
@@ -26,9 +26,10 @@ int main() {
   auto scenario = CheckOk(scenarios::MakeFig9Dataset(rng),
                           "MakeFig9Dataset");
   const Dataset& ds = scenario.data;
-  GridIndex index;
-  CheckOk(index.Build(ds, Euclidean()), "Build");
-  auto m = CheckOk(NeighborhoodMaterializer::Materialize(ds, index, 40),
+  // Any exact engine yields the same M; the figure is about LOF values.
+  auto index = CreateIndex(RecommendIndexKind(ds.dimension()));
+  CheckOk(index->Build(ds, Euclidean()), "Build");
+  auto m = CheckOk(NeighborhoodMaterializer::Materialize(ds, *index, 40),
                    "Materialize");
   auto scores = CheckOk(LofComputer::Compute(m, 40), "Compute");
 

@@ -4,7 +4,7 @@
 //   * the ANGULAR metric (direction of the histogram, not its magnitude),
 //     which is the natural similarity for normalized histograms, and
 //   * the M-TREE, the only engine whose pruning works for such a
-//     non-coordinate metric (grid/KD/R*/VA boxes are vacuous for angles).
+//     non-coordinate metric (KD/R* boxes are vacuous for angles).
 // The pipeline finds snapshots that belong to no scene type — blends of
 // two broadcasts — and explains which color bins make them odd.
 

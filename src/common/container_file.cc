@@ -45,7 +45,7 @@ uint64_t GetU64(const unsigned char* p) {
 // Header layout (kHeaderSize = 64):
 //   [0,8)   magic "LFKCONT1"
 //   [8,12)  container format version
-//   [12,16) file type (application id, e.g. materialization vs VA-file)
+//   [12,16) file type (application id, e.g. materialization)
 //   [16,20) file version (application-level payload version)
 //   [20,24) section count (0 in the streamed header; authoritative count
 //           lives in the footer, written after the sections are known)

@@ -15,9 +15,9 @@
 namespace lofkit {
 
 /// Versioned single-file container format — the durable artifact behind
-/// `NeighborhoodMaterializer::SaveToFile` and the VA-file signature table
-/// (ROADMAP item 3; the paper's step 2 runs entirely from the file-resident
-/// materialization M, so M's file deserves a real format).
+/// `NeighborhoodMaterializer::SaveToFile` (ROADMAP item 3; the paper's step
+/// 2 runs entirely from the file-resident materialization M, so M's file
+/// deserves a real format).
 ///
 /// Layout (all integers little-endian, serialized field by field — no
 /// struct dumps, so the format is independent of compiler padding):

@@ -33,13 +33,14 @@ struct QueryStats {
   uint64_t distance_evals = 0;
   /// Candidates or whole regions skipped by a rank/bound pruning test.
   uint64_t rank_prune_hits = 0;
-  /// Internal index node expansions (tree nodes, grid shells).
+  /// Internal index node expansions (tree nodes).
   uint64_t node_visits = 0;
-  /// Leaf/page scans (tree leaves, grid buckets, sequential SoA blocks).
+  /// Leaf/page scans (tree leaves, sequential SoA blocks).
   uint64_t leaf_visits = 0;
   /// Collector heap insertions (candidates that passed the tau test).
   uint64_t heap_pushes = 0;
-  /// VA-file phase-2 candidate refinements (exact re-evaluations).
+  /// Always 0: no shipped engine has a candidate-refinement phase. Kept
+  /// only because lofbench reads it.
   uint64_t va_refinements = 0;
   /// Candidate points charged against an approximate engine's
   /// SearchParams::checks budget (kd-forest; 0 for the exact engines).

@@ -103,19 +103,6 @@ inline double PruneRankUpperBound(bool squared, double d) {
   return std::nextafter(padded, std::numeric_limits<double>::infinity());
 }
 
-/// Conservative rank-space *lower* bound for a distance-space lower bound
-/// `d`: guaranteed <= RankFromDistance(d) despite rounding, so "bound >
-/// tau => all remaining distances > tau-distance" stays exactly safe. Use
-/// for termination tests built from distance-space bounds (grid shells).
-inline double PruneRankLowerBound(bool squared, double d) {
-  if (!squared) return d;
-  const double r = d * d;
-  if (!std::isfinite(r)) return r;
-  const double padded = r * (1.0 - 8.0 * std::numeric_limits<double>::epsilon());
-  const double below = std::nextafter(padded, 0.0);
-  return below > 0.0 ? below : 0.0;
-}
-
 namespace kernels {
 
 /// Raw per-metric loops, shared by the Metric overrides and directly

@@ -18,13 +18,6 @@ inline double BoxDelta(double q, double lo, double hi) {
   return 0.0;
 }
 
-// Distance from q[d] to the farther edge of [lo[d], hi[d]].
-inline double BoxMaxDelta(double q, double lo, double hi) {
-  const double to_lo = q > lo ? q - lo : lo - q;
-  const double to_hi = q > hi ? q - hi : hi - q;
-  return to_lo > to_hi ? to_lo : to_hi;
-}
-
 // --- DistanceKernels adapters -----------------------------------------
 //
 // Non-capturing functions binding the raw loops of distance_kernels.cc to
@@ -284,23 +277,6 @@ double EuclideanMetric::MinRankToBox(std::span<const double> q,
   return sum;
 }
 
-double EuclideanMetric::MaxDistanceToBox(std::span<const double> q,
-                                         std::span<const double> lo,
-                                         std::span<const double> hi) const {
-  return std::sqrt(MaxRankToBox(q, lo, hi));
-}
-
-double EuclideanMetric::MaxRankToBox(std::span<const double> q,
-                                     std::span<const double> lo,
-                                     std::span<const double> hi) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    const double d = BoxMaxDelta(q[i], lo[i], hi[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
 void EuclideanMetric::BatchDistance(std::span<const double> query,
                                     const PointBlockView& view, size_t b,
                                     std::span<double> out) const {
@@ -346,17 +322,6 @@ double ManhattanMetric::MinDistanceToBox(std::span<const double> q,
   return sum;
 }
 
-
-double ManhattanMetric::MaxDistanceToBox(std::span<const double> q,
-                                         std::span<const double> lo,
-                                         std::span<const double> hi) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    sum += BoxMaxDelta(q[i], lo[i], hi[i]);
-  }
-  return sum;
-}
-
 double ChebyshevMetric::Distance(std::span<const double> a,
                                  std::span<const double> b) const {
   assert(a.size() == b.size());
@@ -382,18 +347,6 @@ double ChebyshevMetric::MinDistanceToBox(std::span<const double> q,
   double max = 0.0;
   for (size_t i = 0; i < q.size(); ++i) {
     const double d = BoxDelta(q[i], lo[i], hi[i]);
-    if (d > max) max = d;
-  }
-  return max;
-}
-
-
-double ChebyshevMetric::MaxDistanceToBox(std::span<const double> q,
-                                         std::span<const double> lo,
-                                         std::span<const double> hi) const {
-  double max = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    const double d = BoxMaxDelta(q[i], lo[i], hi[i]);
     if (d > max) max = d;
   }
   return max;
@@ -431,17 +384,6 @@ double MinkowskiMetric::MinDistanceToBox(std::span<const double> q,
   double sum = 0.0;
   for (size_t i = 0; i < q.size(); ++i) {
     sum += std::pow(BoxDelta(q[i], lo[i], hi[i]), p_);
-  }
-  return std::pow(sum, 1.0 / p_);
-}
-
-
-double MinkowskiMetric::MaxDistanceToBox(std::span<const double> q,
-                                         std::span<const double> lo,
-                                         std::span<const double> hi) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    sum += std::pow(BoxMaxDelta(q[i], lo[i], hi[i]), p_);
   }
   return std::pow(sum, 1.0 / p_);
 }
@@ -493,23 +435,6 @@ double WeightedEuclideanMetric::MinRankToBox(std::span<const double> q,
   return sum;
 }
 
-double WeightedEuclideanMetric::MaxDistanceToBox(
-    std::span<const double> q, std::span<const double> lo,
-    std::span<const double> hi) const {
-  return std::sqrt(MaxRankToBox(q, lo, hi));
-}
-
-double WeightedEuclideanMetric::MaxRankToBox(std::span<const double> q,
-                                             std::span<const double> lo,
-                                             std::span<const double> hi) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    const double d = BoxMaxDelta(q[i], lo[i], hi[i]);
-    sum += weights_[i] * d * d;
-  }
-  return sum;
-}
-
 void WeightedEuclideanMetric::BatchDistance(std::span<const double> query,
                                             const PointBlockView& view,
                                             size_t b,
@@ -525,12 +450,6 @@ void WeightedEuclideanMetric::BatchDistance(std::span<const double> query,
 DistanceKernels WeightedEuclideanMetric::kernels() const {
   return MakeKernels(this, /*squared=*/true, WL2RankOne, WL2RankBounded,
                      WL2RankBlock, WL2RankGather, WL2RankBox, WL2RankCut);
-}
-
-double WeightedEuclideanMetric::CoordinateDistance(size_t dim,
-                                                   double delta) const {
-  const double d = delta < 0 ? -delta : delta;
-  return std::sqrt(weights_[dim]) * d;
 }
 
 double AngularMetric::Distance(std::span<const double> a,
@@ -552,16 +471,6 @@ double AngularMetric::MinDistanceToBox(std::span<const double>,
                                        std::span<const double>,
                                        std::span<const double>) const {
   return 0.0;  // trivially valid; see class comment
-}
-
-double AngularMetric::MaxDistanceToBox(std::span<const double>,
-                                       std::span<const double>,
-                                       std::span<const double>) const {
-  return std::acos(-1.0);  // pi
-}
-
-double AngularMetric::CoordinateDistance(size_t, double) const {
-  return 0.0;  // no per-coordinate angle bound exists
 }
 
 const EuclideanMetric& Euclidean() {

@@ -29,25 +29,10 @@ class Metric {
                           std::span<const double> b) const = 0;
 
   /// Smallest possible distance from `q` to any point inside the axis-aligned
-  /// box [lo, hi]. Used by the tree and grid indexes for branch pruning.
+  /// box [lo, hi]. Used by the tree indexes for branch pruning.
   virtual double MinDistanceToBox(std::span<const double> q,
                                   std::span<const double> lo,
                                   std::span<const double> hi) const = 0;
-
-  /// Largest possible distance from `q` to any point inside the box
-  /// [lo, hi]. Used by the VA-file for candidate upper bounds.
-  virtual double MaxDistanceToBox(std::span<const double> q,
-                                  std::span<const double> lo,
-                                  std::span<const double> hi) const = 0;
-
-  /// Lower bound on the distance contributed by a single coordinate
-  /// difference `delta` in dimension `dim`; used by the KD-tree
-  /// splitting-plane test. For unweighted Minkowski metrics this is
-  /// |delta|.
-  virtual double CoordinateDistance(size_t dim, double delta) const {
-    (void)dim;
-    return delta < 0 ? -delta : delta;
-  }
 
   /// Short identifier, e.g. "euclidean".
   virtual std::string_view name() const = 0;
@@ -80,13 +65,6 @@ class Metric {
     return MinDistanceToBox(q, lo, hi);
   }
 
-  /// MaxDistanceToBox in rank space.
-  virtual double MaxRankToBox(std::span<const double> q,
-                              std::span<const double> lo,
-                              std::span<const double> hi) const {
-    return MaxDistanceToBox(q, lo, hi);
-  }
-
   /// Distances from `query` to all kKernelLanes points of block `b` of
   /// `view`, written to `out[0..kKernelLanes)`. Results for padding lanes
   /// are unspecified. The default gathers each lane and calls Distance;
@@ -115,17 +93,12 @@ class EuclideanMetric final : public Metric {
   double MinDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
   std::string_view name() const override { return "euclidean"; }
 
   bool squared_rank() const override { return true; }
   double RankDistance(std::span<const double> a,
                       std::span<const double> b) const override;
   double MinRankToBox(std::span<const double> q, std::span<const double> lo,
-                      std::span<const double> hi) const override;
-  double MaxRankToBox(std::span<const double> q, std::span<const double> lo,
                       std::span<const double> hi) const override;
   void BatchDistance(std::span<const double> query, const PointBlockView& view,
                      size_t b, std::span<double> out) const override;
@@ -138,9 +111,6 @@ class ManhattanMetric final : public Metric {
   double Distance(std::span<const double> a,
                   std::span<const double> b) const override;
   double MinDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
   std::string_view name() const override { return "manhattan"; }
@@ -156,9 +126,6 @@ class ChebyshevMetric final : public Metric {
   double Distance(std::span<const double> a,
                   std::span<const double> b) const override;
   double MinDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
   std::string_view name() const override { return "chebyshev"; }
@@ -177,9 +144,6 @@ class MinkowskiMetric final : public Metric {
   double Distance(std::span<const double> a,
                   std::span<const double> b) const override;
   double MinDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
   std::string_view name() const override { return "minkowski"; }
@@ -208,20 +172,12 @@ class WeightedEuclideanMetric final : public Metric {
   double MinDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
-  /// Scales the per-coordinate bound by sqrt(weight[dim]) so KD-tree
-  /// pruning stays a valid lower bound for weights below 1.
-  double CoordinateDistance(size_t dim, double delta) const override;
   std::string_view name() const override { return "weighted_euclidean"; }
 
   bool squared_rank() const override { return true; }
   double RankDistance(std::span<const double> a,
                       std::span<const double> b) const override;
   double MinRankToBox(std::span<const double> q, std::span<const double> lo,
-                      std::span<const double> hi) const override;
-  double MaxRankToBox(std::span<const double> q, std::span<const double> lo,
                       std::span<const double> hi) const override;
   void BatchDistance(std::span<const double> query, const PointBlockView& view,
                      size_t b, std::span<double> out) const override;
@@ -242,8 +198,8 @@ class WeightedEuclideanMetric final : public Metric {
 /// treats it as at angle 0 from everything (callers should avoid it).
 ///
 /// Axis-aligned boxes bound angles poorly, so the box bounds are the
-/// trivially valid [0, pi]: tree/grid engines remain exact but degrade to
-/// scans under this metric — use MTreeIndex, which prunes by the triangle
+/// trivially valid [0, pi]: tree engines remain exact but degrade to scans
+/// under this metric — use MTreeIndex, which prunes by the triangle
 /// inequality alone (RecommendIndexKind picks it).
 class AngularMetric final : public Metric {
  public:
@@ -252,10 +208,6 @@ class AngularMetric final : public Metric {
   double MinDistanceToBox(std::span<const double> q,
                           std::span<const double> lo,
                           std::span<const double> hi) const override;
-  double MaxDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override;
-  double CoordinateDistance(size_t dim, double delta) const override;
   std::string_view name() const override { return "angular"; }
 };
 

@@ -1,12 +1,10 @@
 #include "index/index_factory.h"
 
-#include "index/grid_index.h"
 #include "index/kd_tree_index.h"
 #include "index/linear_scan_index.h"
 #include "index/m_tree_index.h"
 #include "index/rkd_forest_index.h"
 #include "index/rstar_tree_index.h"
-#include "index/va_file_index.h"
 
 namespace lofkit {
 
@@ -19,14 +17,10 @@ std::unique_ptr<KnnIndex> CreateIndex(IndexKind kind,
   switch (kind) {
     case IndexKind::kLinearScan:
       return std::make_unique<LinearScanIndex>();
-    case IndexKind::kGrid:
-      return std::make_unique<GridIndex>();
     case IndexKind::kKdTree:
       return std::make_unique<KdTreeIndex>();
     case IndexKind::kRStarTree:
       return std::make_unique<RStarTreeIndex>();
-    case IndexKind::kVaFile:
-      return std::make_unique<VaFileIndex>();
     case IndexKind::kMTree:
       return std::make_unique<MTreeIndex>();
     case IndexKind::kRkdForest: {
@@ -59,23 +53,18 @@ Result<std::unique_ptr<KnnIndex>> CreateIndexByName(
 }
 
 std::vector<IndexKind> AllIndexKinds() {
-  return {IndexKind::kLinearScan, IndexKind::kGrid,  IndexKind::kKdTree,
-          IndexKind::kRStarTree,  IndexKind::kVaFile, IndexKind::kMTree,
-          IndexKind::kRkdForest};
+  return {IndexKind::kLinearScan, IndexKind::kKdTree, IndexKind::kRStarTree,
+          IndexKind::kMTree, IndexKind::kRkdForest};
 }
 
 std::string_view IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kLinearScan:
       return "linear_scan";
-    case IndexKind::kGrid:
-      return "grid";
     case IndexKind::kKdTree:
       return "kd_tree";
     case IndexKind::kRStarTree:
       return "rstar_tree";
-    case IndexKind::kVaFile:
-      return "va_file";
     case IndexKind::kMTree:
       return "m_tree";
     case IndexKind::kRkdForest:

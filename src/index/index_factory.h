@@ -12,15 +12,16 @@
 
 namespace lofkit {
 
-/// The kNN engines lofkit ships, mirroring the options of section 7.4.
+/// The kNN engines lofkit ships. Section 7.4 also lists a grid and a
+/// VA-file; lofkit does not ship them, because they save disk reads an
+/// in-RAM step 1 never pays (docs/paper_map.md). Their former values, 1 and
+/// 4, stay unused so that every other kind keeps its number.
 enum class IndexKind {
-  kLinearScan,  ///< sequential scan (exact, O(n) per query)
-  kGrid,        ///< uniform grid (low dimensions)
-  kKdTree,      ///< KD-tree (medium dimensions)
-  kRStarTree,   ///< R*-tree with X-tree supernodes (the paper's choice)
-  kVaFile,      ///< vector-approximation file (high dimensions)
-  kMTree,       ///< M-tree (general metric spaces, e.g. angular distance)
-  kRkdForest,   ///< randomized kd-forest (approximate, beyond Fig-10's wall)
+  kLinearScan = 0,  ///< sequential scan (exact, O(n) per query)
+  kKdTree = 2,      ///< KD-tree (medium dimensions)
+  kRStarTree = 3,   ///< R*-tree with X-tree supernodes (the paper's choice)
+  kMTree = 5,       ///< M-tree (general metric spaces, e.g. angular distance)
+  kRkdForest = 6,   ///< randomized kd-forest (approximate, beyond Fig-10's wall)
 };
 
 /// Construction knobs of the approximate engines (currently only the
@@ -46,9 +47,9 @@ std::unique_ptr<KnnIndex> CreateIndex(IndexKind kind);
 std::unique_ptr<KnnIndex> CreateIndex(IndexKind kind,
                                       const AnnIndexOptions& ann);
 
-/// Creates an index by name ("linear_scan", "grid", "kd_tree",
-/// "rstar_tree", "va_file", "m_tree", "rkd_forest"). An unknown name fails
-/// with NotFound, listing every valid name.
+/// Creates an index by name ("linear_scan", "kd_tree", "rstar_tree",
+/// "m_tree", "rkd_forest"). An unknown name fails with NotFound, listing
+/// every valid name.
 Result<std::unique_ptr<KnnIndex>> CreateIndexByName(std::string_view name);
 
 /// As above, with ANN construction options.
@@ -76,9 +77,9 @@ std::string_view IndexKindName(IndexKind kind);
 /// (bench/baselines/BENCH_engines.json; a test fails past 1.2x). Hence
 /// `dimension` does not enter the rule. The paper's section-7.4 table
 /// (grid in low d, X-tree in medium d, VA-file in high d) priced disk
-/// reads an in-RAM index never pays, so grid, rstar_tree and va_file are
-/// never returned; they stay selectable by name. Never returns the
-/// approximate kd-forest: approximation is the caller's explicit choice.
+/// reads an in-RAM index never pays, so rstar_tree is never returned; it
+/// stays selectable by name. Never returns the approximate kd-forest:
+/// approximation is the caller's explicit choice.
 IndexKind RecommendIndexKind(size_t dimension,
                              const Metric& metric = Euclidean());
 

@@ -120,11 +120,6 @@ class KnnSearchContext {
     std::vector<double> heap;        // KnnCollector max-heap
     std::vector<Neighbor> accepted;  // KnnCollector accepted superset
     std::vector<double> rank;        // block/gather kernel output
-    std::vector<double> box_lo;      // cell/rect bounds
-    std::vector<double> box_hi;
-    std::vector<int64_t> cell_a;     // grid cell coordinates
-    std::vector<int64_t> cell_b;
-    std::vector<int64_t> cell_c;
     std::vector<std::pair<double, uint32_t>> frontier;  // best-first heap
     // Best-first heap carrying an engine payload (M-tree routing distance).
     struct KeyedNode {
@@ -134,7 +129,6 @@ class KnnSearchContext {
     };
     std::vector<KeyedNode> keyed_frontier;
     std::vector<uint32_t> stack;         // DFS node stack
-    std::vector<Neighbor> candidates;    // VA-file filter output
     // Cross-tree candidate dedup for the kd-forest: point i was examined
     // in the current query iff visited_mark[i] == visited_epoch, so a new
     // query costs one epoch bump instead of an O(n) clear (the mark array
@@ -154,7 +148,8 @@ class KnnSearchContext {
 ///
 /// The paper's two-step algorithm (section 7.4) is agnostic to how the kNN
 /// queries are answered and lists several options (grid, index tree,
-/// sequential scan / VA-file); lofkit implements each behind this interface.
+/// sequential scan / VA-file); lofkit implements the sequential scan and
+/// index trees behind this interface.
 ///
 /// Semantics follow Definitions 3 and 4 of the paper: Query(q, k) returns
 /// the *k-distance neighborhood* of q — every eligible point whose distance

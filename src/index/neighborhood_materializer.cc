@@ -239,7 +239,7 @@ Status QueryListsWindow(const Dataset& data, const KnnIndex& index,
 }
 
 // ---------------------------------------------------------------------------
-// Container serialization (the v2 persistence format).
+// Container serialization (the persistence format).
 //
 // Sections of a materialization container:
 //   "meta"      32 bytes: k_max u64 | n u64 | entry_count u64 |
@@ -554,31 +554,6 @@ Result<NeighborhoodMaterializer> NeighborhoodMaterializer::FromLists(
   return m;
 }
 
-namespace {
-
-// Legacy v1 file layout (native little-endian), read-only since the
-// container format replaced it as the write format:
-//   magic "LOFM" (4 bytes) | version u32 | k_max u64 | distinct u8 |
-//   n u64 | offsets (n+1) u64 | entries { index u32, distance f64 } ...
-constexpr char kMagic[4] = {'L', 'O', 'F', 'M'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kLegacyHeaderBytes = 4 + 4 + 8 + 1 + 8;
-constexpr size_t kLegacyOffsetBytes = 8;
-constexpr size_t kLegacyEntryBytes = 4 + 8;
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
 Status NeighborhoodMaterializer::SaveToFile(const std::string& path) const {
   LOFKIT_FAIL_POINT("materialization.save");
   auto writer_or = ContainerWriter::Create(path, kMaterializationFileType,
@@ -712,96 +687,15 @@ Result<NeighborhoodMaterializer> NeighborhoodMaterializer::LoadFromFile(
   }
   char magic[4];
   in.read(magic, sizeof(magic));
-  if (!in) {
+  if (!in || std::memcmp(magic, "LFKC", 4) != 0) {
     return Status::InvalidArgument("not a lofkit materialization file: " +
                                    path);
   }
-  if (std::memcmp(magic, "LFKC", 4) == 0) {
-    // Container magic: reopen through the checksummed mmap reader and copy
-    // the sections into RAM.
-    in.close();
-    LOFKIT_ASSIGN_OR_RETURN(auto reader, ContainerReader::Open(path));
-    return FromContainer(std::move(reader), path, data, /*copy_to_ram=*/true);
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a lofkit materialization file: " +
-                                   path);
-  }
-
-  // Legacy v1 blob. No checksums; every header-derived count is bounded by
-  // the actual file size before it reaches an allocation.
-  in.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(static_cast<std::streamoff>(sizeof(kMagic)), std::ios::beg);
-  uint32_t version = 0;
-  uint64_t k_max = 0;
-  uint8_t distinct = 0;
-  uint64_t n = 0;
-  if (!ReadPod(in, version) || version != kVersion) {
-    return Status::InvalidArgument("unsupported materialization version");
-  }
-  if (!ReadPod(in, k_max) || !ReadPod(in, distinct) || !ReadPod(in, n)) {
-    return Status::IoError("truncated materialization header");
-  }
-  if (k_max == 0 || n == 0) {
-    return Status::InvalidArgument("corrupt materialization header");
-  }
-  if (distinct && data == nullptr) {
-    return Status::InvalidArgument(
-        "distinct-neighbors materialization needs the original dataset");
-  }
-  if (data != nullptr && data->size() != n) {
-    return Status::InvalidArgument(
-        StrFormat("materialization has %llu points, dataset has %zu",
-                  static_cast<unsigned long long>(n), data->size()));
-  }
-  const uint64_t body_bytes =
-      file_size > kLegacyHeaderBytes ? file_size - kLegacyHeaderBytes : 0;
-  // n + 1 offsets must fit in the body; phrased as n >= body/8 so a
-  // hostile n == UINT64_MAX cannot wrap n + 1 around to zero.
-  if (n >= body_bytes / kLegacyOffsetBytes) {
-    return Status::InvalidArgument(
-        "corrupt materialization header: offsets table exceeds the file "
-        "size");
-  }
-  NeighborhoodMaterializer m(static_cast<size_t>(k_max), distinct != 0);
-  m.data_ = data;
-  m.offsets_.resize(n + 1);
-  for (auto& offset : m.offsets_) {
-    uint64_t value = 0;
-    if (!ReadPod(in, value)) {
-      return Status::IoError("truncated materialization offsets");
-    }
-    offset = static_cast<size_t>(value);
-  }
-  if (m.offsets_.front() != 0) {
-    return Status::InvalidArgument("corrupt materialization offsets");
-  }
-  for (size_t i = 1; i < m.offsets_.size(); ++i) {
-    if (m.offsets_[i] < m.offsets_[i - 1]) {
-      return Status::InvalidArgument("corrupt materialization offsets");
-    }
-  }
-  const uint64_t entry_bytes = body_bytes - (n + 1) * kLegacyOffsetBytes;
-  if (m.offsets_.back() > entry_bytes / kLegacyEntryBytes) {
-    return Status::InvalidArgument(
-        "corrupt materialization offsets: entry count exceeds the file "
-        "size");
-  }
-  m.flat_.resize(m.offsets_.back());
-  for (Neighbor& neighbor : m.flat_) {
-    if (!ReadPod(in, neighbor.index) || !ReadPod(in, neighbor.distance)) {
-      return Status::IoError("truncated materialization entries");
-    }
-  }
-  m.BindToVectors();
-  // Same structural validation as the container route: View()'s
-  // equal-distance-run walk silently misbehaves on unsorted or non-finite
-  // neighbor lists, so a decodable-but-corrupt file is rejected here.
-  for (size_t i = 0; i + 1 < m.offsets_.size(); ++i) {
-    LOFKIT_RETURN_IF_ERROR(ValidateNeighborList(i, m.neighbors(i), n));
-  }
-  return m;
+  // Container magic: reopen through the checksummed mmap reader and copy the
+  // sections into RAM.
+  in.close();
+  LOFKIT_ASSIGN_OR_RETURN(auto reader, ContainerReader::Open(path));
+  return FromContainer(std::move(reader), path, data, /*copy_to_ram=*/true);
 }
 
 }  // namespace lofkit

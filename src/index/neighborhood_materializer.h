@@ -164,12 +164,11 @@ class NeighborhoodMaterializer {
   /// dataset.
   Status SaveToFile(const std::string& path) const;
 
-  /// Loads a materialization database into RAM. Understands both the
-  /// checksummed container written by SaveToFile/MaterializeToFile and the
-  /// legacy v1 "LOFM" blob (pre-container saves stay loadable). A
-  /// distinct-neighbors M additionally needs the original dataset for its
-  /// coordinate comparisons; pass it via `data` (must be the same dataset,
-  /// checked by size). Neighbor lists are structurally validated on load
+  /// Loads a checksummed container written by SaveToFile/MaterializeToFile
+  /// into RAM; any other file is InvalidArgument ("not a lofkit
+  /// materialization file"). A distinct-neighbors M additionally needs the
+  /// original dataset for its coordinate comparisons; pass it via `data`
+  /// (must be the same dataset, checked by size). Neighbor lists are structurally validated on load
   /// (index range, finite non-negative distances, (distance, index)
   /// sortedness — the same invariants FromLists enforces), and every
   /// header-derived count is bounded by the actual file size before any
@@ -183,8 +182,7 @@ class NeighborhoodMaterializer {
   /// materialized in RAM, so a multi-gigabyte M costs page cache, not
   /// anonymous memory. Section checksums and the same structural
   /// validation as LoadFromFile run once up front (one sequential pass);
-  /// scores computed over a mapped M are bit-identical to the in-RAM
-  /// route. The legacy v1 format has no checksums and is not mappable.
+  /// scores computed over a mapped M are bit-identical to the in-RAM route.
   static Result<NeighborhoodMaterializer> MapFromFile(
       const std::string& path, const Dataset* data = nullptr);
 

@@ -238,8 +238,6 @@ TEST_P(DistanceKernelsTest, BoxRankBoundsMatchDistanceBounds) {
   const std::vector<double> hi = data().Max();
   EXPECT_EQ(DistanceFromRank(squared, metric().MinRankToBox(query_, lo, hi)),
             metric().MinDistanceToBox(query_, lo, hi));
-  EXPECT_EQ(DistanceFromRank(squared, metric().MaxRankToBox(query_, lo, hi)),
-            metric().MaxDistanceToBox(query_, lo, hi));
 }
 
 TEST_P(DistanceKernelsTest, RankBoxIsBitIdenticalToMinRankToBox) {
@@ -309,15 +307,6 @@ class Taxicabish final : public Metric {
     for (size_t i = 0; i < q.size(); ++i) {
       if (q[i] < lo[i]) sum += lo[i] - q[i];
       if (q[i] > hi[i]) sum += q[i] - hi[i];
-    }
-    return sum;
-  }
-  double MaxDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override {
-    double sum = 0.0;
-    for (size_t i = 0; i < q.size(); ++i) {
-      sum += std::max(std::abs(q[i] - lo[i]), std::abs(q[i] - hi[i]));
     }
     return sum;
   }

@@ -12,13 +12,11 @@
 #include "common/minijson.h"
 #include "common/random.h"
 #include "dataset/generators.h"
-#include "index/grid_index.h"
 #include "index/kd_tree_index.h"
 #include "index/linear_scan_index.h"
 #include "index/m_tree_index.h"
 #include "index/rkd_forest_index.h"
 #include "index/rstar_tree_index.h"
-#include "index/va_file_index.h"
 
 namespace lofkit {
 namespace {
@@ -58,16 +56,24 @@ TEST(IndexFactoryTest, CreateByNameRoundTripsEveryRegisteredName) {
 }
 
 TEST(IndexFactoryTest, UnknownNameErrorListsEveryValidEngine) {
-  auto index = CreateIndexByName("btree");
-  ASSERT_FALSE(index.ok());
-  EXPECT_EQ(index.status().code(), StatusCode::kNotFound);
-  const std::string message = index.status().ToString();
-  EXPECT_NE(message.find("btree"), std::string::npos) << message;
-  for (IndexKind kind : AllIndexKinds()) {
-    EXPECT_NE(message.find(std::string(IndexKindName(kind))),
-              std::string::npos)
-        << "error message must list " << IndexKindName(kind) << ": "
-        << message;
+  // Names of engines lofkit no longer ships fail like any unknown name.
+  ASSERT_EQ(AllIndexKinds().size(), 5u);
+  for (const char* name : {"btree", "grid", "va_file"}) {
+    SCOPED_TRACE(name);
+    auto index = CreateIndexByName(name);
+    ASSERT_FALSE(index.ok());
+    EXPECT_EQ(index.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(index.status().message(),
+              "unknown index kind: " + std::string(name) +
+                  " (valid: linear_scan, kd_tree, rstar_tree, m_tree, "
+                  "rkd_forest)");
+    const std::string message = index.status().ToString();
+    for (IndexKind kind : AllIndexKinds()) {
+      EXPECT_NE(message.find(std::string(IndexKindName(kind))),
+                std::string::npos)
+          << "error message must list " << IndexKindName(kind) << ": "
+          << message;
+    }
   }
 }
 
@@ -99,11 +105,6 @@ class CustomL1Metric final : public Metric {
                           std::span<const double> lo,
                           std::span<const double> hi) const override {
     return Manhattan().MinDistanceToBox(q, lo, hi);
-  }
-  double MaxDistanceToBox(std::span<const double> q,
-                          std::span<const double> lo,
-                          std::span<const double> hi) const override {
-    return Manhattan().MaxDistanceToBox(q, lo, hi);
   }
   std::string_view name() const override { return "custom_l1"; }
 };
@@ -493,9 +494,6 @@ TEST_P(IndexConformanceTest, ErrorsOnMisuse) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, IndexConformanceTest,
     ::testing::Values(
-        EngineCase{IndexKind::kGrid, 2, &Euclidean()},
-        EngineCase{IndexKind::kGrid, 2, &Manhattan()},
-        EngineCase{IndexKind::kGrid, 5, &Euclidean()},
         EngineCase{IndexKind::kKdTree, 2, &Euclidean()},
         EngineCase{IndexKind::kKdTree, 5, &Euclidean()},
         EngineCase{IndexKind::kKdTree, 5, &Chebyshev()},
@@ -504,9 +502,6 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{IndexKind::kRStarTree, 5, &Euclidean()},
         EngineCase{IndexKind::kRStarTree, 5, &Manhattan()},
         EngineCase{IndexKind::kRStarTree, 10, &Euclidean()},
-        EngineCase{IndexKind::kVaFile, 2, &Euclidean()},
-        EngineCase{IndexKind::kVaFile, 10, &Euclidean()},
-        EngineCase{IndexKind::kVaFile, 20, &Chebyshev()},
         EngineCase{IndexKind::kMTree, 2, &Euclidean()},
         EngineCase{IndexKind::kMTree, 5, &Manhattan()},
         EngineCase{IndexKind::kMTree, 5, &Angular()},
@@ -524,25 +519,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Engine-specific structure checks
 // ---------------------------------------------------------------------------
-
-TEST(GridIndexTest, ChoosesReasonableResolution) {
-  Rng rng(55);
-  Dataset data = MakeRandomClustered(rng, 2, 400);
-  GridIndex index;
-  ASSERT_TRUE(index.Build(data, Euclidean()).ok());
-  EXPECT_GE(index.cells_per_dimension(), 2u);
-  EXPECT_LE(index.cells_per_dimension(), 64u);
-}
-
-TEST(GridIndexTest, DegeneratesGracefullyInHighDimensions) {
-  Rng rng(56);
-  Dataset data = MakeRandomClustered(rng, 40, 100);
-  GridIndex index;
-  ASSERT_TRUE(index.Build(data, Euclidean()).ok());
-  auto result = index.Query(data.point(0), 5, uint32_t{0});
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->size(), 5u);
-}
 
 TEST(KdTreeIndexTest, BuildsBalancedTree) {
   Rng rng(57);
@@ -662,50 +638,6 @@ TEST(RStarTreeIndexTest, BulkLoadUsesFewerNodes) {
   ASSERT_TRUE(inserted.Build(data, Euclidean()).ok());
   ASSERT_TRUE(bulk.Build(data, Euclidean()).ok());
   EXPECT_LE(bulk.node_count(), inserted.node_count());
-}
-
-TEST(VaFileIndexTest, RejectsBadBitWidth) {
-  Rng rng(61);
-  Dataset data = MakeRandomClustered(rng, 2, 50);
-  VaFileIndex index(0);
-  EXPECT_FALSE(index.Build(data, Euclidean()).ok());
-  VaFileIndex index9(9);
-  EXPECT_FALSE(index9.Build(data, Euclidean()).ok());
-}
-
-class VaFileBitsTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(VaFileBitsTest, ExactAtEveryBitWidth) {
-  // The approximation granularity changes the candidate set, never the
-  // result: every bit width must reproduce the linear scan exactly.
-  Rng rng(180);
-  Dataset data = MakeRandomClustered(rng, 6, 300);
-  LinearScanIndex reference;
-  ASSERT_TRUE(reference.Build(data, Euclidean()).ok());
-  VaFileIndex va(GetParam());
-  ASSERT_TRUE(va.Build(data, Euclidean()).ok());
-  for (int trial = 0; trial < 15; ++trial) {
-    const size_t q = rng.UniformU64(data.size());
-    auto expected = reference.Query(data.point(q), 12,
-                                    static_cast<uint32_t>(q));
-    auto actual = va.Query(data.point(q), 12, static_cast<uint32_t>(q));
-    ASSERT_TRUE(expected.ok() && actual.ok());
-    ASSERT_EQ(actual->size(), expected->size()) << "bits " << GetParam();
-    for (size_t i = 0; i < expected->size(); ++i) {
-      ASSERT_EQ((*actual)[i].index, (*expected)[i].index);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BitWidths, VaFileBitsTest,
-                         ::testing::Values(1, 2, 4, 6, 8),
-                         [](const auto& info) {
-                           return "bits" + std::to_string(info.param);
-                         });
-
-TEST(VaFileIndexTest, IntervalsMatchBits) {
-  VaFileIndex index(4);
-  EXPECT_EQ(index.intervals(), 16u);
 }
 
 TEST(MTreeIndexTest, InvariantsHoldOnClusteredData) {

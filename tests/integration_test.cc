@@ -45,8 +45,9 @@ TEST(IntegrationTest, Fig9PlantedOutliersDominateRanking) {
   auto scenario = scenarios::MakeFig9Dataset(rng);
   ASSERT_TRUE(scenario.ok());
   // The paper computes LOF at MinPts = 40 for this dataset.
-  auto ranked = LofSweep::RankOutliers(scenario->data, Euclidean(), 40, 40,
-                                       9, IndexKind::kGrid);
+  auto ranked = LofSweep::RankOutliers(
+      scenario->data, Euclidean(), 40, 40, 9,
+      RecommendIndexKind(scenario->data.dimension()));
   ASSERT_TRUE(ranked.ok());
   // The Gaussian fringes legitimately produce a couple of "weak outliers"
   // (section 7.1), so allow the planted seven to share the top 9.
@@ -162,8 +163,9 @@ TEST(IntegrationTest, Histograms64DOutliersRankOnTop) {
   Rng rng(108);
   auto scenario = scenarios::Make64DHistograms(rng);
   ASSERT_TRUE(scenario.ok());
-  auto ranked = LofSweep::RankOutliers(scenario->data, Euclidean(), 10, 20,
-                                       10, IndexKind::kVaFile);
+  auto ranked = LofSweep::RankOutliers(
+      scenario->data, Euclidean(), 10, 20, 10,
+      RecommendIndexKind(scenario->data.dimension()));
   ASSERT_TRUE(ranked.ok());
   const std::set<uint32_t> top = TopIndices(*ranked, 10);
   size_t found = 0;

@@ -1,11 +1,16 @@
 #include "index/neighborhood_materializer.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/container_file.h"
 #include "common/random.h"
 #include "dataset/generators.h"
 #include "dataset/metric.h"
@@ -277,33 +282,56 @@ TEST(MaterializerTest, LoadRejectsGarbageAndMismatches) {
   std::remove(distinct_path.c_str());
 }
 
-// Writes a materialization file with the on-disk layout of SaveToFile but
-// arbitrary (possibly invalid) neighbor lists, to exercise load validation.
-void WriteRawMaterialization(const std::string& path, uint64_t k_max,
-                             const std::vector<std::vector<Neighbor>>& lists) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write("LOFM", 4);
-  const uint32_t version = 1;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&k_max), sizeof(k_max));
-  const uint8_t distinct = 0;
-  out.write(reinterpret_cast<const char*>(&distinct), sizeof(distinct));
-  const uint64_t n = lists.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  uint64_t offset = 0;
-  out.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
-  for (const auto& list : lists) {
-    offset += list.size();
-    out.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
-  }
+// Writes a sealed materialization container with SaveToFile's sections
+// (meta, offsets, neighbors) but arbitrary, possibly invalid, neighbor lists.
+// The CRCs are valid, so only the structural validation can reject the file.
+// `claimed_n` / `claimed_entries` replace the true counts in the meta section.
+void WriteRawMaterialization(
+    const std::string& path, uint64_t k_max,
+    const std::vector<std::vector<Neighbor>>& lists,
+    std::optional<uint64_t> claimed_n = std::nullopt,
+    std::optional<uint64_t> claimed_entries = std::nullopt) {
+  auto writer = ContainerWriter::Create(path, /*file_type=*/1,
+                                        /*file_version=*/2);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  std::vector<uint64_t> offsets = {0};
+  std::vector<unsigned char> records;
   for (const auto& list : lists) {
     for (const Neighbor& neighbor : list) {
-      out.write(reinterpret_cast<const char*>(&neighbor.index),
-                sizeof(neighbor.index));
-      out.write(reinterpret_cast<const char*>(&neighbor.distance),
-                sizeof(neighbor.distance));
+      unsigned char record[16] = {};
+      std::memcpy(record, &neighbor.index, 4);
+      std::memcpy(record + 8, &neighbor.distance, 8);
+      records.insert(records.end(), record, record + 16);
     }
+    offsets.push_back(offsets.back() + list.size());
   }
+  // meta: k_max u64 | n u64 | entry_count u64 | distinct u8 | 7 zero bytes.
+  const uint64_t meta_words[3] = {k_max, claimed_n.value_or(lists.size()),
+                                  claimed_entries.value_or(offsets.back())};
+  unsigned char meta[32] = {};
+  std::memcpy(meta, meta_words, sizeof(meta_words));
+  ASSERT_TRUE(writer->AddSection("meta", meta, sizeof(meta)).ok());
+  ASSERT_TRUE(writer
+                  ->AddSection("offsets", offsets.data(),
+                               offsets.size() * sizeof(uint64_t))
+                  .ok());
+  ASSERT_TRUE(
+      writer->AddSection("neighbors", records.data(), records.size()).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+}
+
+// Both load routes must reject `path` with kInvalidArgument and a message
+// containing `needle`.
+void ExpectBothLoadsReject(const std::string& path, std::string_view needle) {
+  auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+      << loaded.status();
+  auto mapped = NeighborhoodMaterializer::MapFromFile(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mapped.status().message(), loaded.status().message());
 }
 
 TEST(MaterializerTest, LoadRejectsUnsortedNeighborLists) {
@@ -314,17 +342,14 @@ TEST(MaterializerTest, LoadRejectsUnsortedNeighborLists) {
                           {{{1, 2.0}, {2, 1.0}},    // distances out of order
                            {{0, 1.0}, {2, 2.0}},
                            {{0, 1.0}, {1, 2.0}}});
-  auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("not sorted"), std::string::npos);
+  ExpectBothLoadsReject(path, "not sorted");
 
   // Equal distances must also be ordered by ascending index.
   WriteRawMaterialization(path, 2,
                           {{{2, 1.0}, {1, 1.0}},
                            {{0, 1.0}, {2, 2.0}},
                            {{0, 1.0}, {1, 2.0}}});
-  EXPECT_FALSE(NeighborhoodMaterializer::LoadFromFile(path).ok());
+  ExpectBothLoadsReject(path, "not sorted");
   std::remove(path.c_str());
 }
 
@@ -333,13 +358,12 @@ TEST(MaterializerTest, LoadRejectsNonFiniteDistances) {
   const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(), -1.0};
   for (double bad : kBad) {
+    SCOPED_TRACE(bad);
     WriteRawMaterialization(path, 2,
                             {{{1, 1.0}, {2, bad}},
                              {{0, 1.0}, {2, 2.0}},
                              {{0, 1.0}, {1, 2.0}}});
-    auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
-    ASSERT_FALSE(loaded.ok()) << bad;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+    ExpectBothLoadsReject(path, "non-finite or negative distance");
   }
   std::remove(path.c_str());
 }
@@ -350,52 +374,48 @@ TEST(MaterializerTest, LoadStillRejectsOutOfRangeNeighborIndexes) {
                           {{{1, 1.0}, {9, 2.0}},    // index 9 of n=3
                            {{0, 1.0}, {2, 2.0}},
                            {{0, 1.0}, {1, 2.0}}});
-  auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  ExpectBothLoadsReject(path, "out-of-range index 9");
   std::remove(path.c_str());
 }
 
-// Writes only the legacy v1 header with arbitrary (hostile) counts — no
-// body — to prove load validation bounds every allocation by the actual
-// file size.
-void WriteLegacyHeader(const std::string& path, uint64_t k_max, uint64_t n) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write("LOFM", 4);
-  const uint32_t version = 1;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&k_max), sizeof(k_max));
-  const uint8_t distinct = 0;
-  out.write(reinterpret_cast<const char*>(&distinct), sizeof(distinct));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-}
+const std::vector<std::vector<Neighbor>> kValidLists = {
+    {{1, 1.0}, {2, 2.0}}, {{0, 1.0}, {2, 1.0}}, {{1, 1.0}, {0, 2.0}}};
 
 TEST(MaterializerTest, HostileHeaderCountsAreBoundedByTheFileSize) {
-  // Regression: LoadFromFile used to offsets_.resize(n + 1) straight from
-  // the header, so a 25-byte file claiming n = 2^61 points asked the
-  // allocator for 16 EiB before any byte of the offsets table was read.
+  // A sealed file whose meta claims n = 2^61 points is refused by comparing
+  // the claim with the offsets section's real size, before any allocation
+  // is sized from it.
   const std::string path = ::testing::TempDir() + "/lofkit_m_hostile_n.bin";
-  WriteLegacyHeader(path, 4, uint64_t{1} << 61);
-  auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("exceeds the file size"),
-            std::string::npos)
-      << loaded.status();
+  WriteRawMaterialization(path, 2, kValidLists, uint64_t{1} << 61);
+  ExpectBothLoadsReject(path, "offsets section size disagrees");
 
   // n + 1 overflowing to zero must not sneak past the bound either.
-  WriteLegacyHeader(path, 4, ~uint64_t{0});
-  EXPECT_EQ(NeighborhoodMaterializer::LoadFromFile(path).status().code(),
-            StatusCode::kInvalidArgument);
+  WriteRawMaterialization(path, 2, kValidLists, ~uint64_t{0});
+  ExpectBothLoadsReject(path, "offsets section size disagrees");
+
+  // The untouched lists load, so the claims above are what was refused.
+  WriteRawMaterialization(path, 2, kValidLists);
+  EXPECT_TRUE(NeighborhoodMaterializer::LoadFromFile(path).ok());
   std::remove(path.c_str());
 }
 
 TEST(MaterializerTest, HostileOffsetsAreBoundedByTheFileSize) {
-  // The sibling hole: a plausible n whose final offset (the flat entry
-  // count) vastly exceeds what the file can hold used to reach
-  // flat_.resize(offsets_.back()) unchecked.
+  // The sibling hole: an entry count far beyond what the neighbors section
+  // holds, including one whose byte size overflows 64 bits.
   const std::string path =
       ::testing::TempDir() + "/lofkit_m_hostile_offsets.bin";
+  for (uint64_t entries : {uint64_t{1} << 40, uint64_t{1} << 61}) {
+    SCOPED_TRACE(entries);
+    WriteRawMaterialization(path, 2, kValidLists, std::nullopt, entries);
+    ExpectBothLoadsReject(path, "neighbors section size disagrees");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MaterializerTest, LoadRejectsTheRetiredLofmFormat) {
+  // The pre-container "LOFM" blob is no longer read: its magic fails the
+  // sniff like any other foreign file, before any header count is trusted.
+  const std::string path = ::testing::TempDir() + "/lofkit_m_lofm.bin";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write("LOFM", 4);
@@ -405,25 +425,23 @@ TEST(MaterializerTest, HostileOffsetsAreBoundedByTheFileSize) {
     out.write(reinterpret_cast<const char*>(&k_max), sizeof(k_max));
     const uint8_t distinct = 0;
     out.write(reinterpret_cast<const char*>(&distinct), sizeof(distinct));
-    const uint64_t n = 2;
+    const uint64_t n = uint64_t{1} << 61;
     out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    const uint64_t offsets[3] = {0, uint64_t{1} << 60, uint64_t{1} << 61};
-    out.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
   }
   auto loaded = NeighborhoodMaterializer::LoadFromFile(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("exceeds the file size"),
-            std::string::npos)
+  EXPECT_NE(
+      loaded.status().message().find("not a lofkit materialization file"),
+      std::string::npos)
       << loaded.status();
+  EXPECT_FALSE(NeighborhoodMaterializer::MapFromFile(path).ok());
   std::remove(path.c_str());
 }
 
 TEST(MaterializerTest, SavedFilesUseTheContainerFormatNow) {
-  // SaveToFile migrated from the legacy "LOFM" blob to the checksummed
-  // container ("LFKC" magic); LoadFromFile sniffs the magic and reads
-  // both, so old files keep working (WriteRawMaterialization above covers
-  // the legacy decode path).
+  // SaveToFile writes the checksummed container ("LFKC" magic), the only
+  // format LoadFromFile and MapFromFile read.
   Dataset data = MakeLine(25);
   LinearScanIndex index;
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());

@@ -24,7 +24,6 @@
 #include "dataset/metric.h"
 #include "index/linear_scan_index.h"
 #include "index/neighborhood_materializer.h"
-#include "index/va_file_index.h"
 #include "lof/lof_computer.h"
 #include "lof/lof_sweep.h"
 #include "lof/spill.h"
@@ -354,58 +353,6 @@ TEST_F(PersistenceTest, CorruptionMatrixTruncationsAndFlips) {
   ExpectSameMaterialization(*m, *reloaded, "clean reload");
   std::remove(path.c_str());
   std::remove(hostile.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// VA-file signature table round trip.
-// ---------------------------------------------------------------------------
-
-TEST_F(PersistenceTest, VaFileSignatureTableRoundTrips) {
-  const Dataset data = MakeClusteredData(160);
-  VaFileIndex built(/*bits_per_dimension=*/5);
-  ASSERT_TRUE(built.Build(data, Euclidean()).ok());
-  const std::string path = TempPath("va.lofc");
-
-  // Saving before Build is refused.
-  VaFileIndex unbuilt;
-  EXPECT_EQ(unbuilt.SaveToFile(path).code(),
-            StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(built.SaveToFile(path).ok());
-  VaFileIndex restored;
-  ASSERT_TRUE(restored.LoadFromFile(path, data, Euclidean()).ok());
-  EXPECT_EQ(restored.intervals(), built.intervals());
-
-  // The restored signature table answers queries identically.
-  KnnSearchContext ctx_a, ctx_b;
-  for (uint32_t q : {0u, 17u, 63u, 159u}) {
-    ASSERT_TRUE(built.Query(data.point(q), 7, q, ctx_a).ok());
-    ASSERT_TRUE(restored.Query(data.point(q), 7, q, ctx_b).ok());
-    auto ra = ctx_a.results();
-    auto rb = ctx_b.results();
-    ASSERT_EQ(ra.size(), rb.size()) << q;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].index, rb[i].index) << q;
-      const double da = ra[i].distance;
-      const double db = rb[i].distance;
-      EXPECT_EQ(std::memcmp(&da, &db, sizeof(double)), 0) << q;
-    }
-  }
-
-  // A different dataset is rejected; a corrupt file is rejected cleanly.
-  const Dataset other = MakeClusteredData(40, /*seed=*/7);
-  VaFileIndex mismatched;
-  EXPECT_EQ(mismatched.LoadFromFile(path, other, Euclidean()).code(),
-            StatusCode::kInvalidArgument);
-  std::vector<char> bytes = ReadAll(path);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x20);
-  const std::string bad = TempPath("va_bad.lofc");
-  WriteAll(bad, bytes);
-  VaFileIndex corrupt;
-  Status status = corrupt.LoadFromFile(bad, data, Euclidean());
-  EXPECT_FALSE(status.ok());
-  std::remove(path.c_str());
-  std::remove(bad.c_str());
 }
 
 // ---------------------------------------------------------------------------

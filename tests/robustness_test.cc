@@ -22,7 +22,6 @@
 #include "index/incremental_materializer.h"
 #include "index/index_factory.h"
 #include "index/linear_scan_index.h"
-#include "index/va_file_index.h"
 #include "lof/lof_sweep.h"
 #include "lof/spill.h"
 
@@ -181,24 +180,6 @@ TEST_F(RobustnessTest, EveryPlantedFailPointPropagatesCleanly) {
          return NeighborhoodMaterializer::MaterializeToFile(
              data, index, 5, /*threads=*/1, /*distinct_neighbors=*/false,
              TempPath("spill.lofc"));
-       }},
-      {"va_file.save",
-       [&] {
-         VaFileIndex va;
-         Status built = va.Build(data, Euclidean());
-         if (!built.ok()) return built;
-         return va.SaveToFile(TempPath("va.lofc"));
-       }},
-      {"va_file.load",
-       [&] {
-         VaFileIndex va;
-         Status built = va.Build(data, Euclidean());
-         if (!built.ok()) return built;
-         const std::string va_path = TempPath("va_rt.lofc");
-         Status saved = va.SaveToFile(va_path);
-         if (!saved.ok()) return saved;
-         VaFileIndex loaded;
-         return loaded.LoadFromFile(va_path, data, Euclidean());
        }},
   };
 

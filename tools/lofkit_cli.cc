@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   flags.AddString("metric", "euclidean",
                   "distance: euclidean, manhattan, chebyshev or angular");
   flags.AddString("index", "auto",
-                  "knn engine: auto, linear_scan, grid, kd_tree, "
-                  "rstar_tree, va_file, m_tree or rkd_forest "
+                  "knn engine: auto, linear_scan, kd_tree, rstar_tree, "
+                  "m_tree or rkd_forest "
                   "(approximate; see the --ann-* flags). auto picks "
                   "kd_tree when --metric has coordinate box bounds "
                   "(every metric but angular) and m_tree otherwise");
